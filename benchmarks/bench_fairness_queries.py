@@ -42,12 +42,12 @@ def throttle_client(bed, client: str, rate_kbps: int, switch: str = "ber"):
 def measure_goodput(bed, src_host: str, dst_host: str, packets=60, payload=1400):
     src = bed.network.host(src_host)
     dst = bed.network.host(dst_host)
-    before = len(dst.received)
+    before = dst.received_count
     for i in range(packets):
         src.send_udp(dst.ip, 5000, b"x" * payload)
         bed.run(0.005)
     bed.run(0.5)
-    return len(dst.received) - before
+    return dst.received_count - before
 
 
 def test_fairness_detection_and_real_throttling(benchmark, report):

@@ -3,17 +3,13 @@
 The verification sweep — per-host reachability over a full snapshot — is
 the inner loop of every RVaaS query, so PR "fast-path HSA kernel"
 rebuilt it around indexed rule classifiers, trusted wildcard
-construction, shadow-skip subtraction, and an iterative worklist, with
-optional parallel fan-out of whole-network sweeps.  This experiment
-measures the three kernels on the same snapshots:
+construction, shadow-skip subtraction, and an iterative worklist.  This
+experiment measures the two kernels on the same snapshots:
 
 * ``serial-naive`` — the frozen pre-rewrite kernel
   (:mod:`repro.hsa.reference`): linear scans, public validating
   constructors, chained subtraction, recursive DFS.
-* ``indexed`` — the production kernel, workers=1.
-* ``indexed+parallel`` — the production kernel fanning per-host sweeps
-  over a thread pool (determinism feature; on a single-core host it
-  cannot beat ``indexed`` on wall clock).
+* ``indexed`` — the production kernel.
 
 Protocol: the snapshot is the verifier's *analysis* snapshot (RVaaS's
 own interception rules elided, exactly what production queries analyse);
@@ -34,7 +30,6 @@ from repro.dataplane.topologies import (
     waxman_topology,
 )
 from repro.hsa.headerspace import HeaderSpace
-from repro.hsa.parallel import FanOutPool, default_workers
 from repro.hsa.reachability import ReachabilityAnalyzer
 from repro.hsa.reference import (
     ReferenceReachabilityAnalyzer,
@@ -94,7 +89,6 @@ def test_kernel_speedup(benchmark, report):
     rows = []
     counter_lines = []
     json_topologies = {}
-    workers = max(2, default_workers())
     for name, make_topo, repeats in TOPOLOGIES:
         bed = build_testbed(make_topo(), isolate_clients=True, seed=51)
         # The analysis snapshot: what the verifier actually propagates
@@ -112,50 +106,15 @@ def test_kernel_speedup(benchmark, report):
             repeats,
         )
         indexed_ms, indexed_zones = median_cold_ms(
-            lambda: ReachabilityAnalyzer(
-                VerificationEngine().compile(snapshot), workers=1
-            ),
+            lambda: ReachabilityAnalyzer(VerificationEngine().compile(snapshot)),
             work,
             repeats,
         )
         assert indexed_zones == naive_zones, f"{name}: kernels disagree"
 
-        # Parallel fan-out sweeps whole-network queries; time the same
-        # per-host workload through the pool-backed inverse query.
+        # Kernel counters over one uncached sweep of the same workload.
         ntf = VerificationEngine().compile(snapshot)
-        parallel_ms, parallel_zones = median_cold_ms(
-            lambda: ReachabilityAnalyzer(
-                VerificationEngine().compile(snapshot), workers=workers
-            ),
-            work,
-            repeats,
-        )
-        assert parallel_zones == naive_zones
-
-        # Determinism: any worker count returns byte-identical answers.
-        probe = work[0][1]
-        serial_an = ReachabilityAnalyzer(ntf, workers=1)
-        pooled_an = ReachabilityAnalyzer(ntf, workers=workers)
-        serial_loops = [
-            (l.switch, l.port, l.cycle, l.space.fingerprint())
-            for l in serial_an.detect_all_loops(probe)
-        ]
-        pooled_loops = [
-            (l.switch, l.port, l.cycle, l.space.fingerprint())
-            for l in pooled_an.detect_all_loops(probe)
-        ]
-        assert serial_loops == pooled_loops
-        target = work[-1][0]
-        serial_sources = [
-            (ref, hs.fingerprint())
-            for ref, hs in serial_an.sources_reaching(*target, probe).items()
-        ]
-        pooled_sources = [
-            (ref, hs.fingerprint())
-            for ref, hs in pooled_an.sources_reaching(*target, probe).items()
-        ]
-        assert serial_sources == pooled_sources
-
+        sweep(ReachabilityAnalyzer(ntf), work)
         stats = ntf.kernel_stats()
         counter_lines.append(
             f"{name}: checked={stats.get('rules_checked', 0)} "
@@ -171,9 +130,7 @@ def test_kernel_speedup(benchmark, report):
                 len(work),
                 f"{naive_ms:.1f}",
                 f"{indexed_ms:.1f}",
-                f"{parallel_ms:.1f}",
                 f"{naive_ms / indexed_ms:.2f}x",
-                f"{naive_ms / parallel_ms:.2f}x",
                 len(naive_zones),
             )
         )
@@ -182,9 +139,7 @@ def test_kernel_speedup(benchmark, report):
             "hosts": len(work),
             "naive_median_ms": round(naive_ms, 3),
             "indexed_median_ms": round(indexed_ms, 3),
-            "parallel_median_ms": round(parallel_ms, 3),
             "speedup_indexed": round(naive_ms / indexed_ms, 3),
-            "speedup_parallel": round(naive_ms / parallel_ms, 3),
         }
     rep.table(
         [
@@ -193,15 +148,11 @@ def test_kernel_speedup(benchmark, report):
             "hosts",
             "naive_ms",
             "indexed_ms",
-            "parallel_ms",
             "speedup_idx",
-            "speedup_par",
             "zones",
         ],
         rows,
     )
-    rep.line()
-    rep.line(f"workers for the parallel kernel: {workers} (threads)")
     rep.line()
     rep.line("kernel counters (lifetime totals on the indexed NTF):")
     for line in counter_lines:
@@ -209,25 +160,20 @@ def test_kernel_speedup(benchmark, report):
     rep.line()
     rep.line("protocol: cold-cache — every timed iteration recompiles the")
     rep.line("NTF and rebuilds classifier indexes inside the sweep; medians")
-    rep.line("over the iterations.  Answers asserted identical across all")
-    rep.line("three kernels, and loop/source sweeps byte-identical for")
-    rep.line("workers=1 vs workers=N, before timings are reported.")
+    rep.line("over the iterations.  Answers asserted identical across")
+    rep.line("both kernels before timings are reported.")
     rep.line()
     rep.line("shape check: the indexed kernel clears 3x on every topology;")
     rep.line("the win grows with table size (linear-32 has the largest")
-    rep.line("tables).  On a single-core host the thread pool adds a small")
-    rep.line("dispatch overhead instead of a win — it exists for multi-core")
-    rep.line("hosts and for the determinism guarantee, not for this box.")
+    rep.line("tables).")
     rep.finish()
-    rep.save_json(
-        {"workers": workers, "topologies": json_topologies}
-    )
+    rep.save_json({"topologies": json_topologies})
 
     # Shape assertion, not a tight bound: medians on a loaded CI box
     # jitter a few percent around the ~3.3x quiet-host figure, so leave
     # headroom — a real regression lands well under 2x.
     for row in rows:
-        assert float(row[6][:-1]) >= 2.0, f"{row[0]}: indexed speedup below 2x"
+        assert float(row[5][:-1]) >= 2.0, f"{row[0]}: indexed speedup below 2x"
 
     bed = build_testbed(
         fat_tree_topology(4, clients=["a", "b"]), isolate_clients=True, seed=51
@@ -238,15 +184,3 @@ def test_kernel_speedup(benchmark, report):
     analyzer = ReachabilityAnalyzer(ntf)
     benchmark(lambda: sweep(analyzer, work))
 
-
-def test_pool_counters(report):
-    """FanOutPool bookkeeping: submitted tasks and batch counts."""
-    pool = FanOutPool(workers=2, mode="thread")
-    results = pool.map(lambda ctx, item: ctx + item, 10, [1, 2, 3])
-    assert results == [11, 12, 13]
-    stats = pool.stats()
-    assert stats["tasks_submitted"] == 3
-    assert stats["parallel_batches"] == 1
-    serial = FanOutPool(workers=1)
-    assert serial.map(lambda ctx, item: item * ctx, 2, [4]) == [8]
-    assert serial.stats()["parallel_batches"] == 0

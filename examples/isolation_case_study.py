@@ -53,7 +53,7 @@ def main() -> None:
         bed.network.host("h_fra1").ip, 8080, b"knock knock"
     )
     bed.run(0.5)
-    delivered = len(bed.network.host("h_fra1").received)
+    delivered = bed.network.host("h_fra1").received_count
     print(f"  covert packets delivered to alice's host: {delivered}\n")
 
     print("Phase 3 — verification")

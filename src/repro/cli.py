@@ -220,7 +220,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     """Run the query battery and print the engine's serving counters."""
     from repro.core.engine import BACKEND_ENV_VAR
     from repro.hsa.atoms import GLOBAL_ATOM_TABLE
-    from repro.hsa.parallel import POOL_MODE_ENV_VAR, POOL_WORKERS_ENV_VAR
     from repro.openflow.actions import Output
     from repro.openflow.messages import Match
 
@@ -233,13 +232,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         from repro.core.gate import GateConfig
 
         gate_config = GateConfig()
-    # The deployment's engine and scheduler read their fan-out defaults
-    # from the environment; scope the overrides to testbed construction.
+    # The deployment's engine reads its backend default from the
+    # environment; scope the override to testbed construction.
     overrides = {BACKEND_ENV_VAR: args.backend}
-    if args.pool_workers is not None:
-        overrides[POOL_WORKERS_ENV_VAR] = str(args.pool_workers)
-    if args.pool_mode is not None:
-        overrides[POOL_MODE_ENV_VAR] = args.pool_mode
     saved = {name: os.environ.get(name) for name in overrides}
     os.environ.update(overrides)
     try:
@@ -371,34 +366,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         f"overload_responses={serving['overload_responses']} "
         f"warm_compiles={serving['warm_compiles']}"
     )
-    if args.pool:
-        counters = bed.service.engine.metrics.snapshot_counters()
-        print(
-            "fan-out pool       : "
-            f"mode={counters['pool_mode']} "
-            f"workers={counters['pool_workers']} "
-            f"tasks={counters['pool_tasks']} "
-            f"fallbacks={counters['pool_fallbacks']}"
-        )
-        print(
-            "compile farm       : "
-            f"batches={counters['farm_batches']} "
-            f"tasks={counters['farm_tasks']} "
-            f"warm_hits={counters['farm_warm_hits']} "
-            f"mirror_reuses={counters['farm_mirror_reuses']}"
-        )
-        print(
-            "farm shipping      : "
-            f"bytes={counters['farm_bytes_shipped']} "
-            f"parts_shipped={counters['farm_parts_shipped']} "
-            f"parts_cached={counters['farm_parts_cached']}"
-        )
-        print(
-            "farm health        : "
-            f"worker_restarts={counters['farm_worker_restarts']} "
-            f"queue_depth_peak={counters['farm_queue_depth_peak']} "
-            f"scheduler_fallbacks={serving['pool_fallbacks']}"
-        )
     if bed.gate is not None:
         gate = bed.gate.stats()
         print(
@@ -426,7 +393,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             f"shadow_entries={gate['shadow_entries']} "
             f"backlog={gate['backlog']}"
         )
-    bed.close()
     return 0
 
 
@@ -490,7 +456,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         snapshot_fn=service.snapshot,
         freshness_fn=service._freshness,
         clock=clock,
-        config=ServingConfig(shard_workers=args.workers),
+        config=ServingConfig(),
         ready_fn=service.verifier.ready,
         warm_fn=service.verifier.warm,
     )
@@ -632,26 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument("--seed", type=int, default=0)
     stats.add_argument(
-        "--pool",
-        action="store_true",
-        help="print fan-out pool and compile-farm counters (warm hits, "
-        "bytes shipped, worker restarts, queue depth)",
-    )
-    stats.add_argument(
-        "--pool-workers",
-        type=int,
-        default=None,
-        help="fan-out width for the deployment's engine and scheduler "
-        "(default: RVAAS_POOL_WORKERS or 1)",
-    )
-    stats.add_argument(
-        "--pool-mode",
-        choices=("thread", "process"),
-        default=None,
-        help="fan-out backend: threads or the persistent compile farm "
-        "(default: RVAAS_POOL_MODE or thread)",
-    )
-    stats.add_argument(
         "--gate",
         action="store_true",
         help="install the preventive verify-then-install gate on every "
@@ -679,9 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of requests repeating an earlier (client, query) pair",
     )
     serve.add_argument("--scope-pool", type=int, default=16)
-    serve.add_argument(
-        "--workers", type=int, default=1, help="shard fan-out width"
-    )
     serve.add_argument("--seed", type=int, default=0)
     serve.set_defaults(func=cmd_serve_bench)
 

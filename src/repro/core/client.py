@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.core.protocol import (
     AuthChallenge,
@@ -41,6 +42,10 @@ from repro.netlib.constants import RVAAS_AUTH_PORT, RVAAS_MAGIC_PORT
 from repro.netlib.packet import Packet
 
 from repro.core.inband import RVAAS_SERVICE_IP
+
+#: Answered handles a client keeps; older ones fall out of the window,
+#: so a long-lived client holds bounded state.
+COMPLETED_WINDOW = 256
 
 
 @dataclass
@@ -90,7 +95,8 @@ class RVaaSClient:
         self._clock = clock or (lambda: 0.0)
         self._pending: Dict[int, QueryHandle] = {}
         self._callbacks: Dict[int, Callable[[QueryHandle], None]] = {}
-        self.completed: List[QueryHandle] = []
+        #: the most recent answered handles, oldest first
+        self.completed: Deque[QueryHandle] = deque(maxlen=COMPLETED_WINDOW)
         self.notices: List[ViolationNotice] = []
         self._notice_callbacks: List[Callable[[ViolationNotice], None]] = []
         self._nonces = itertools.count(self.rng.getrandbits(32) << 8)

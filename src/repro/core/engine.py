@@ -28,11 +28,10 @@ emulation backend, flapping detector, dead-end auditor):
 All caches are content-addressed, so correctness never depends on
 deltas arriving: a missed delta only costs an extra recompilation.
 
-With ``workers > 1`` the engine fans per-switch compilation and
-multi-source sweeps (``sources_reaching``) over a thread pool; caches
-are lock-guarded, results are merged in sorted order, and the fast-path
-kernel's counters (rules skipped by the classifier index, worklist
-depth, pool utilisation) surface in :class:`EngineMetrics`.
+Every compile, sweep and matrix build runs serially, in sorted order;
+caches are lock-guarded, and the fast-path kernel's counters (rules
+skipped by the classifier index, worklist depth) surface in
+:class:`EngineMetrics`.
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
-import hashlib
-
 from repro.core.snapshot import NetworkSnapshot
 from repro.hsa.atoms import (
     GLOBAL_ATOM_TABLE,
@@ -54,10 +51,8 @@ from repro.hsa.atoms import (
     RemapInexact,
     constraint_seed_hash,
 )
-from repro.hsa.farm import FarmError, FarmTaskError
 from repro.hsa.headerspace import HeaderSpace
 from repro.hsa.network_tf import NetworkTransferFunction, PortRef
-from repro.hsa.parallel import FanOutPool, env_pool_mode, env_pool_workers
 from repro.hsa.reachability import (
     ReachabilityAnalyzer,
     ReachabilityResult,
@@ -131,23 +126,6 @@ class EngineMetrics:
     kernel_early_exits: int = 0
     kernel_index_hits: int = 0
     worklist_peak: int = 0  # deepest worklist of any propagation
-    pool_workers: int = 1
-    pool_mode: str = "thread"  # thread | process (the compile farm)
-    pool_tasks: int = 0  # fan-out tasks submitted (sweeps + compiles)
-    parallel_sweeps: int = 0
-    parallel_compiles: int = 0
-    pool_fallbacks: int = 0  # process batches that fell back to threads
-    # Compile-farm telemetry (E24): content-addressed shipping to the
-    # persistent worker processes behind process-mode fan-out.
-    farm_batches: int = 0  # farm batches this engine's pool submitted
-    farm_tasks: int = 0
-    farm_warm_hits: int = 0  # worker-side compiled-artifact cache hits
-    farm_mirror_reuses: int = 0  # worker mirrors reused across batches
-    farm_bytes_shipped: int = 0  # pickled bytes actually sent to workers
-    farm_parts_shipped: int = 0  # content parts sent (cache misses)
-    farm_parts_cached: int = 0  # parts skipped (worker already held them)
-    farm_worker_restarts: int = 0  # crashed workers respawned mid-service
-    farm_queue_depth_peak: int = 0  # peak in-flight tasks on the farm
     # Atomic-predicate backend telemetry (E19).
     atom_space_builds: int = 0  # atom universes compiled (interner misses)
     atom_intern_hits: int = 0  # artifact-cache hits for (space, matrix)
@@ -165,7 +143,7 @@ class EngineMetrics:
     atoms_split: int = 0  # old cells refined by the new universe, summed
     matrix_repair_fallbacks: int = 0  # repairs abandoned for a full rebuild
     # Batch query API telemetry (E21, serving tier): multi-ingress
-    # propagation requests deduped and fanned out in one call.
+    # propagation requests deduped in one call.
     batched_analyses: int = 0  # analyze_batch invocations
     batch_jobs: int = 0  # jobs submitted across all batches
     batch_unique_jobs: int = 0  # jobs remaining after in-batch dedup
@@ -221,10 +199,7 @@ class _AtomState:
     switch_sigs: Dict[str, tuple]
     space: AtomSpace
     matrix: ReachabilityMatrix
-    #: None when the matrix was built/repaired on the compile farm —
-    #: the worker-side mirrors hold the pipelines; :meth:`atom_rows`
-    #: rebuilds a parent-side network lazily if boundary rows need one
-    atom_network: Optional[AtomNetwork]
+    atom_network: AtomNetwork
 
 
 class VerificationEngine:
@@ -237,6 +212,11 @@ class VerificationEngine:
     :meth:`artifact`), and :class:`SnapshotHistory` (content hashing).
     """
 
+    #: Every compile and sweep runs serially; these constants stay because
+    #: the benchmark harness (``perfbench/workloads.py``) reports them.
+    workers = 1
+    pool_mode = "serial"
+
     def __init__(
         self,
         *,
@@ -244,9 +224,7 @@ class VerificationEngine:
         max_network_entries: int = 16,
         max_reach_entries: int = 1024,
         max_artifact_entries: int = 8,
-        workers: Optional[int] = None,
         backend: Optional[str] = None,
-        pool_mode: Optional[str] = None,
         matrix_repair: bool = True,
         repair_max_fraction: float = 0.5,
     ) -> None:
@@ -265,43 +243,14 @@ class VerificationEngine:
         self.matrix_repair = matrix_repair
         #: safety valve: a delta touching more than this fraction of the
         #: network's switches falls back to a full rebuild (repairing
-        #: nearly everything costs more than a clean fan-out)
+        #: nearly everything costs more than a clean build)
         self.repair_max_fraction = repair_max_fraction
         self.metrics = EngineMetrics()
         self._max_switch_entries = max_switch_entries
         self._max_network_entries = max_network_entries
         self._max_reach_entries = max_reach_entries
         self._max_artifact_entries = max_artifact_entries
-        #: fan-out width and mode for sweeps, per-switch compilation and
-        #: matrix builds; defaults come from ``RVAAS_POOL_WORKERS`` /
-        #: ``RVAAS_POOL_MODE`` so a whole deployment (or test run) flips
-        #: to the process farm with two environment variables.  Results
-        #: are merged in sorted order either way, so any worker count
-        #: and mode answers identically.
-        self.workers = (
-            max(1, workers) if workers is not None else env_pool_workers(1)
-        )
-        if pool_mode is None:
-            pool_mode = env_pool_mode("thread")
-        if pool_mode not in ("thread", "process"):
-            raise ValueError(f"unknown pool mode: {pool_mode!r}")
-        self.pool_mode = pool_mode
-        self.metrics.pool_workers = self.workers
-        self.metrics.pool_mode = pool_mode
-        #: the persistent fan-out pool (satellite of E24: one executor
-        #: per engine, lazily started, closed by :meth:`close` — never a
-        #: fresh executor per map call)
-        self._pool = FanOutPool(self.workers, pool_mode)
-        #: memoization-dependent fan-outs (``analyze_batch``,
-        #: ``sources_reaching``) must share the in-process memo tables,
-        #: so they always run on threads even when compiles and matrix
-        #: builds use the process farm
-        self._thread_pool = (
-            self._pool
-            if pool_mode == "thread"
-            else FanOutPool(self.workers, "thread")
-        )
-        #: guards every cache OrderedDict against concurrent fan-out
+        #: guards every cache OrderedDict against concurrent callers
         self._lock = threading.RLock()
         #: (switch, rule hash, ports) -> compiled transfer function
         self._switch_tfs: "OrderedDict[tuple, SwitchTransferFunction]" = OrderedDict()
@@ -352,9 +301,8 @@ class VerificationEngine:
                 self._switch_tfs.move_to_end(key)
                 return cached
             self.metrics.switch_tf_misses += 1
-        # Compile outside the lock so parallel per-switch compilation
-        # actually overlaps; a rare duplicate compile of the same key is
-        # benign (content-addressed, last write wins).
+        # Compile outside the lock; a rare duplicate compile of the same
+        # key is benign (content-addressed, last write wins).
         compiled = compile_switch_tf(switch, rules, ports)
         with self._lock:
             self._switch_tfs[key] = compiled
@@ -377,22 +325,10 @@ class VerificationEngine:
             return cached
         with self._lock:
             self.metrics.network_tf_builds += 1
-        switches = sorted(snapshot.rules)
-        if self.workers > 1 and len(switches) > 1:
-            self.metrics.parallel_compiles += 1
-            self.metrics.pool_tasks += len(switches)
-            if self._pool.is_process:
-                tfs = self._farm_compile(snapshot, switches)
-            else:
-                compiled = self._pool.map(
-                    self.switch_transfer_function, snapshot, switches
-                )
-                tfs = dict(zip(switches, compiled))
-        else:
-            tfs = {
-                switch: self.switch_transfer_function(snapshot, switch)
-                for switch in switches
-            }
+        tfs = {
+            switch: self.switch_transfer_function(snapshot, switch)
+            for switch in sorted(snapshot.rules)
+        }
         previous = self._last_ntf
         if (
             previous is not None
@@ -421,152 +357,14 @@ class VerificationEngine:
             self._evict(self._network_tfs, self._max_network_entries)
         if self.backend == "atom":
             self._ensure_atoms(network_tf, content, snapshot)
-        self._sync_pool_metrics()
         return network_tf
 
-    def _farm_compile(
-        self, snapshot: NetworkSnapshot, switches: list
-    ) -> Dict[str, SwitchTransferFunction]:
-        """Per-switch compilation on the process farm (``compile`` spec).
-
-        Parent-cache hits never leave the process; the misses ship as
-        content-addressed jobs — a worker that compiled the same
-        (switch, rules-hash, ports) key before answers from its warm
-        artifact cache without receiving the rules again.
-        """
-        tfs: Dict[str, SwitchTransferFunction] = {}
-        jobs: list = []
-        payloads: Dict[tuple, object] = {}
-        for switch in switches:
-            ports = tuple(snapshot.switch_ports.get(switch, ()))
-            key = (switch, snapshot.switch_content_hash(switch), ports)
-            with self._lock:
-                cached = self._switch_tfs.get(key)
-                if cached is not None:
-                    self.metrics.switch_tf_hits += 1
-                    self._switch_tfs.move_to_end(key)
-                    tfs[switch] = cached
-                    continue
-                self.metrics.switch_tf_misses += 1
-            jobs.append((switch, key))
-            payloads[("tf",) + key] = snapshot.rules.get(switch, ())
-        if not jobs:
-            return tfs
-        try:
-            compiled = self._pool.farm_compile(
-                [("tf",) + key for _switch, key in jobs], payloads
-            )
-        except (FarmError, FarmTaskError) as exc:
-            # Loud fallback: the batch reruns locally (still correct,
-            # just not multi-core) and the downgrade is counted.
-            self._pool._loud_fallback(f"compile farm batch failed: {exc!r}")
-            compiled = [
-                compile_switch_tf(
-                    switch,
-                    snapshot.rules.get(switch, ()),
-                    snapshot.switch_ports.get(switch, ()),
-                )
-                for switch, _key in jobs
-            ]
-        with self._lock:
-            for (switch, key), tf in zip(jobs, compiled):
-                self._switch_tfs[key] = tf
-                tfs[switch] = tf
-            self._evict(self._switch_tfs, self._max_switch_entries)
-        return tfs
-
-    def _matrix_farm_spec(
-        self,
-        snapshot: NetworkSnapshot,
-        content: str,
-        network_tf: NetworkTransferFunction,
-        space: AtomSpace,
-        *,
-        predecessor: Optional["_AtomState"] = None,
-        touched: Iterable[str] = (),
-    ) -> dict:
-        """Content-addressed part payload for farm-side matrix mirrors.
-
-        Part keys reuse the engine's own cache currency — the PR-1
-        per-switch (rules hash, ports) signatures, the atom-space
-        signature, a topology digest — so a worker that served the
-        previous snapshot version already holds every unchanged part
-        and the batch ships only the delta.  Naming the ``predecessor``
-        (repair path) lets workers patch their mirror via
-        ``reuse_from``/``touched`` instead of recompiling the network.
-        """
-        topo_digest = hashlib.sha256(
-            repr(
-                (
-                    sorted(network_tf.wiring.items()),
-                    sorted(
-                        (s, tuple(sorted(p)))
-                        for s, p in network_tf.edge_ports.items()
-                    ),
-                )
-            ).encode()
-        ).hexdigest()[:16]
-        part_keys = [("topo", topo_digest), ("space", space.signature)]
-        payloads: Dict[tuple, object] = {
-            part_keys[0]: (network_tf.wiring, network_tf.edge_ports),
-            part_keys[1]: space,
-        }
-        for switch in sorted(snapshot.rules):
-            key = (
-                "tf",
-                switch,
-                snapshot.switch_content_hash(switch),
-                tuple(snapshot.switch_ports.get(switch, ())),
-            )
-            part_keys.append(key)
-            payloads[key] = snapshot.rules.get(switch, ())
-        spec = {
-            "version": f"{content}:{space.signature}",
-            "part_keys": tuple(part_keys),
-            "payloads": payloads,
-        }
-        if predecessor is not None:
-            spec["prev_version"] = (
-                f"{predecessor.content}:{predecessor.space.signature}"
-            )
-            spec["touched"] = tuple(sorted(touched))
-        return spec
-
-    def _sync_pool_metrics(self) -> None:
-        """Mirror pool/farm counters into :class:`EngineMetrics`."""
-        counters = self._pool.farm_counters
-        m = self.metrics
-        m.pool_fallbacks = (
-            self._pool.process_fallbacks + self._thread_pool.process_fallbacks
-        )
-        m.farm_batches = counters["batches"]
-        m.farm_tasks = counters["tasks"]
-        m.farm_warm_hits = counters["warm_hits"]
-        m.farm_mirror_reuses = counters["mirror_reuses"]
-        m.farm_bytes_shipped = counters["bytes_shipped"]
-        m.farm_parts_shipped = counters["parts_shipped"]
-        m.farm_parts_cached = counters["parts_cached"]
-        m.farm_worker_restarts = counters["worker_restarts"]
-        farm = self._pool._farm
-        if farm is not None:
-            # Queue depth is a farm-global gauge (the farm is shared
-            # between pools of the same width by design).
-            m.farm_queue_depth_peak = farm.metrics.queue_depth_peak
-
     def close(self) -> None:
-        """Release the persistent executors (idempotent).
+        """Nothing to release: the engine holds no executors.
 
-        Analyzer pools cached on this engine are closed too; shared
-        farm workers stay up for other engines and are reaped atexit.
-        A closed engine still answers every query — fan-outs degrade to
-        the inline serial loop.
+        Kept so callers that scope an engine's lifetime (the benchmark
+        harness among them) need not special-case it.
         """
-        self._pool.close()
-        self._thread_pool.close()
-        with self._lock:
-            analyzers = list(self._analyzers.values())
-        for analyzer in analyzers:
-            analyzer.close()
 
     # ------------------------------------------------------------------
     # Analysis
@@ -582,10 +380,7 @@ class VerificationEngine:
                 self._analyzers.move_to_end(key)
                 return analyzer
         analyzer = ReachabilityAnalyzer(
-            self.compile(snapshot),
-            collect_drops=collect_drops,
-            workers=self.workers,
-            pool_mode=self.pool_mode,
+            self.compile(snapshot), collect_drops=collect_drops
         )
         with self._lock:
             self._analyzers[key] = analyzer
@@ -637,16 +432,15 @@ class VerificationEngine:
         *,
         collect_drops: bool = False,
     ) -> list:
-        """Memoized propagation for many ingress jobs in one fan-out.
+        """Memoized propagation for many ingress jobs in one call.
 
         ``jobs`` is a sequence of ``(switch, port, space)`` triples; the
         result list is positionally aligned with it.  Duplicate jobs
-        (same ingress and space fingerprint) are computed once, and the
-        distinct misses fan out over the engine's worker pool — the
+        (same ingress and space fingerprint) are computed once — the
         serving tier's "batch compatible matrix-row lookups" primitive.
         Results land in the shared memo table, so a batch is exactly as
         correct (and as cached) as the equivalent loop of
-        :meth:`analyze` calls, merged in input order for determinism.
+        :meth:`analyze` calls.
         """
         jobs = list(jobs)
         self.metrics.batched_analyses += 1
@@ -657,28 +451,12 @@ class VerificationEngine:
             if key not in unique:
                 unique[key] = (switch, port, space)
         self.metrics.batch_unique_jobs += len(unique)
-        distinct = list(unique.values())
-        if self.workers > 1 and len(distinct) > 1:
-            self.metrics.pool_tasks += len(distinct)
-            # Batch jobs run on the thread pool even in process mode:
-            # each result must land in the engine's shared memo table,
-            # and the closure over ``self`` is unpicklable anyway.
-            results = self._thread_pool.map(
-                lambda _ctx, job: self.analyze(
-                    snapshot, job[0], job[1], job[2], collect_drops=collect_drops
-                ),
-                None,
-                distinct,
+        by_key = {
+            key: self.analyze(
+                snapshot, switch, port, space, collect_drops=collect_drops
             )
-        else:
-            results = [
-                self.analyze(
-                    snapshot, switch, port, space, collect_drops=collect_drops
-                )
-                for switch, port, space in distinct
-            ]
-        by_key = dict(zip(unique.keys(), results))
-        self._sync_pool_metrics()
+            for key, (switch, port, space) in unique.items()
+        }
         return [
             by_key[(switch, port, space.fingerprint())]
             for switch, port, space in jobs
@@ -693,26 +471,13 @@ class VerificationEngine:
         *,
         candidate_ports: Optional[Tuple[PortRef, ...]] = None,
     ) -> Dict[PortRef, HeaderSpace]:
-        """Inverse reachability, with each candidate propagation memoized.
-
-        With ``workers > 1`` the candidate propagations fan out over the
-        engine's thread pool; each one still lands in the shared memo
-        table, and the sources map is merged in candidate order, so the
-        answer is identical for any worker count.
-        """
-        analyzer = self.analyzer(snapshot)
-        candidates = candidate_ports or analyzer.network_tf.all_edge_ports()
-        if self.workers > 1 and len(candidates) > 1:
-            self.metrics.parallel_sweeps += 1
-            self.metrics.pool_tasks += len(candidates)
-        return analyzer.sources_reaching(
+        """Inverse reachability, with each candidate propagation memoized."""
+        return self.analyzer(snapshot).sources_reaching(
             target_switch,
             target_port,
             space,
-            candidate_ports=candidates,
+            candidate_ports=candidate_ports,
             analyze_fn=lambda sw, p, sp: self.analyze(snapshot, sw, p, sp),
-            workers=self.workers,
-            pool_mode="thread",
         )
 
     def _sample_kernel_stats(self, network_tf: NetworkTransferFunction) -> None:
@@ -808,20 +573,8 @@ class VerificationEngine:
         state_key = (self._atom_seed_key, content)
         with self._lock:
             state = self._atom_states.get(state_key)
-        if (
-            state is not None
-            and state.matrix is matrix
-            and state.atom_network is not None
-        ):
+        if state is not None and state.matrix is matrix:
             atom_network = state.atom_network
-        elif state is not None and state.matrix is matrix:
-            # Farm-built state: the matrix rows live here but the
-            # compiled pipelines live on the workers.  Boundary rows
-            # need a parent-side network; build one once and keep it on
-            # the state so later boundary rows are lookups again.
-            network_tf = self.compile(snapshot)
-            atom_network = AtomNetwork(network_tf, space)
-            state.atom_network = atom_network
         else:
             # Predecessor state evicted while the artifact survived:
             # rebuild the atom network once (content-addressed pieces,
@@ -908,23 +661,9 @@ class VerificationEngine:
                 for name in snapshot.rules
             }
             matrix: Optional[ReachabilityMatrix] = None
-            atom_network: Optional[AtomNetwork] = None
-            use_farm = self._pool.is_process
             candidate = self._repair_candidate(network_tf, switch_sigs)
             if candidate is not None:
                 predecessor, touched = candidate
-                farm_spec = (
-                    self._matrix_farm_spec(
-                        snapshot,
-                        content,
-                        network_tf,
-                        space,
-                        predecessor=predecessor,
-                        touched=touched,
-                    )
-                    if use_farm
-                    else None
-                )
                 try:
                     matrix, atom_network, stats = repair_reachability_matrix(
                         predecessor.matrix,
@@ -932,9 +671,6 @@ class VerificationEngine:
                         space,
                         touched,
                         previous_network=predecessor.atom_network,
-                        workers=self.workers,
-                        pool=self._pool,
-                        farm_spec=farm_spec,
                     )
                 except RemapInexact:
                     self.metrics.matrix_repair_fallbacks += 1
@@ -949,23 +685,9 @@ class VerificationEngine:
                 # changed or the delta touched too much of the network).
                 self.metrics.matrix_repair_fallbacks += 1
             if matrix is None:
-                if use_farm:
-                    # Workers assemble the pipelines as versioned
-                    # mirrors; the parent never compiles an AtomNetwork
-                    # on this path (boundary rows rebuild one lazily).
-                    farm_spec = self._matrix_farm_spec(
-                        snapshot, content, network_tf, space
-                    )
-                else:
-                    farm_spec = None
-                    atom_network = AtomNetwork(network_tf, space)
+                atom_network = AtomNetwork(network_tf, space)
                 matrix = build_reachability_matrix(
-                    network_tf,
-                    space,
-                    workers=self.workers,
-                    atom_network=atom_network,
-                    pool=self._pool,
-                    farm_spec=farm_spec,
+                    network_tf, space, atom_network=atom_network
                 )
                 self.metrics.atom_matrix_builds += 1
             self.metrics.atom_matrix_expansions = matrix.expansions

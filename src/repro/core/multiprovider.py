@@ -106,15 +106,10 @@ class ProviderDomain:
             return self.snapshot_fn()
         raise ValueError(f"domain {self.name} has neither service nor snapshot")
 
-    def verification_engine(
-        self,
-        default_factory: Optional[Callable[[], VerificationEngine]] = None,
-    ) -> VerificationEngine:
+    def verification_engine(self) -> VerificationEngine:
         if self.engine is None:
             if self.service is not None:
                 self.engine = self.service.engine
-            elif default_factory is not None:
-                self.engine = default_factory()
             else:
                 self.engine = VerificationEngine()
         return self.engine
@@ -235,20 +230,10 @@ class RVaaSFederation:
         topology: Topology,
         *,
         max_depth: int = 16,
-        workers: Optional[int] = None,
-        pool_mode: Optional[str] = None,
     ) -> None:
         self.domains = {domain.name: domain for domain in domains}
         self.topology = topology
         self.max_depth = max_depth
-        #: fan-out width/mode for engines this federation creates for
-        #: service-less domains; ``None`` defers to ``RVAAS_POOL_*``.
-        #: Domains of the same width share one compile farm, so one
-        #: domain's warm parts (the atom space, unchanged switch rules
-        #: at a shared boundary digest) benefit its peers.
-        self.workers = workers
-        self.pool_mode = pool_mode
-        self._owned_engines: List[VerificationEngine] = []
         self._domain_of_switch: Dict[str, str] = {}
         for domain in domains:
             for switch in domain.switches:
@@ -293,39 +278,27 @@ class RVaaSFederation:
             source=source,
             snapshot=restricted,
             content=content,
-            engine=domain.verification_engine(self._make_engine),
+            engine=domain.verification_engine(),
         )
         self._contexts[name] = ctx
         return ctx
 
-    def _make_engine(self) -> VerificationEngine:
-        engine = VerificationEngine(
-            workers=self.workers, pool_mode=self.pool_mode
-        )
-        self._owned_engines.append(engine)
-        return engine
-
     def prewarm(self) -> None:
         """Compile every domain's restricted snapshot eagerly.
 
-        Each domain's per-switch compiles and matrix rows fan over its
-        engine's pool — on the process farm when ``pool_mode`` says so —
-        instead of being paid lazily inside the first federated query's
-        work loop.  The work loop itself stays serial by design (its
-        message counts are part of the audited answers).
+        Each domain's per-switch compiles and matrix rows are paid here
+        instead of lazily inside the first federated query's work loop.
         """
         for name in sorted(self.domains):
             ctx = self._domain_context(name)
             ctx.engine.compile(ctx.snapshot)
 
     def close(self) -> None:
-        """Close engines this federation created (idempotent).
+        """Nothing to release: domain engines hold no executors.
 
-        Engines borrowed from a domain's service (or injected by the
-        caller) are left alone — their owners manage their lifecycle.
+        Kept so callers that scope a federation's lifetime (the
+        benchmark harness among them) need not special-case it.
         """
-        for engine in self._owned_engines:
-            engine.close()
 
     # ------------------------------------------------------------------
     # The federated query core (all modes, all query classes)

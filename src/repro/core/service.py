@@ -160,17 +160,6 @@ class RVaaSController(ControllerApp):
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def shutdown(self) -> None:
-        """Release persistent executors (engine pools, scheduler shards).
-
-        Idempotent, and the controller stays functional afterwards —
-        closed pools degrade to inline serial execution — so a scenario
-        can shut down mid-simulation without losing answers.
-        """
-        if self.scheduler is not None:
-            self.scheduler.close()
-        self.engine.close()
-
     def start(self, network: Network) -> None:
         """Attach to every switch, install interception, begin monitoring."""
         self.attach(network)

@@ -87,18 +87,12 @@ class LogicalVerifier:
         *,
         exclude_own_interception: bool = True,
         engine: Optional[VerificationEngine] = None,
-        workers: int = 1,
     ) -> None:
         self.registrations = dict(registrations)
         self.exclude_own_interception = exclude_own_interception
         #: the shared compilation/analysis cache; every reachability
-        #: propagation of every query class goes through it.  ``workers``
-        #: sizes its fan-out pool when no engine is supplied (inverse
-        #: queries and snapshot compilation parallelise; answers are
-        #: identical for any worker count).
-        self.engine = (
-            engine if engine is not None else VerificationEngine(workers=workers)
-        )
+        #: propagation of every query class goes through it
+        self.engine = engine if engine is not None else VerificationEngine()
         self._port_owner: Dict[Tuple[str, int], Tuple[str, str]] = {}
         for registration in self.registrations.values():
             for host in registration.hosts:
@@ -508,12 +502,12 @@ class LogicalVerifier:
     def prewarm(
         self, pairs: Iterable[Tuple[str, Query]], snapshot: NetworkSnapshot
     ) -> int:
-        """Run a batch's forward propagations in one engine fan-out.
+        """Run a batch's forward propagations in one deduplicated call.
 
         On the atom backend the matrix already serves these classes, so
         prewarming would only duplicate fallback work; the wildcard
-        backend genuinely shares the fan-out.  Returns the number of
-        jobs submitted.
+        backend genuinely shares the deduplicated propagations.  Returns
+        the number of jobs submitted.
         """
         if self.engine.backend == "atom":
             return 0

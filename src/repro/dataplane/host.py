@@ -8,13 +8,19 @@ run ... in user space" of paper §IV-A3.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.netlib.addresses import IPv4Address, MacAddress
 from repro.netlib.packet import Packet, udp_packet
 from repro.dataplane.topology import GeoLocation, HostSpec
 
 ReceiveHandler = Callable[[Packet], None]
+
+#: Delivered packets a host keeps for inspection.  Older ones fall out of
+#: the window (``received_count`` keeps counting), so a long run holds
+#: bounded state per host.
+RECEIVED_WINDOW = 256
 
 
 class Host:
@@ -24,7 +30,10 @@ class Host:
         self.spec = spec
         self._send_fn = send_fn
         self._handlers: Dict[int, List[ReceiveHandler]] = {}
-        self.received: List[Packet] = []
+        #: the most recent deliveries, oldest first
+        self.received: Deque[Packet] = deque(maxlen=RECEIVED_WINDOW)
+        #: every delivery ever made, including those out of the window
+        self.received_count = 0
         self.sent_count = 0
 
     @property
@@ -96,6 +105,7 @@ class Host:
     def deliver(self, packet: Packet) -> None:
         """Called by the network when a packet reaches this host's port."""
         self.received.append(packet)
+        self.received_count += 1
         for handler in self._handlers.get(packet.tp_dst, []):
             handler(packet)
 

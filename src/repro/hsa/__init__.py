@@ -15,9 +15,8 @@ propagates header spaces over the wiring plan
 (:mod:`~repro.hsa.reachability`).
 
 The production kernel is the fast path: indexed rule classifiers,
-trusted low-overhead wildcard construction, iterative worklist
-propagation, and optional parallel fan-out of whole-network sweeps
-(:mod:`~repro.hsa.parallel`).  The original naive kernel is retained in
+trusted low-overhead wildcard construction and iterative worklist
+propagation.  The original naive kernel is retained in
 :mod:`~repro.hsa.reference` as the oracle for differential testing.
 """
 
@@ -31,7 +30,6 @@ from repro.hsa.atoms import (
 )
 from repro.hsa.headerspace import HeaderSpace
 from repro.hsa.layout import FIELD_LAYOUT, HEADER_BITS, field_slice, pack_headers
-from repro.hsa.parallel import FanOutPool, default_workers
 from repro.hsa.reachability import (
     DropZone,
     LoopReport,
@@ -55,7 +53,6 @@ __all__ = [
     "AtomTable",
     "DropZone",
     "FIELD_LAYOUT",
-    "FanOutPool",
     "GLOBAL_ATOM_TABLE",
     "HEADER_BITS",
     "HeaderSpace",
@@ -73,7 +70,6 @@ __all__ = [
     "SwitchTransferFunction",
     "TransferRule",
     "Wildcard",
-    "default_workers",
     "field_slice",
     "pack_headers",
     "reference_network_tf",

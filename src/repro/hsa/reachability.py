@@ -18,10 +18,8 @@ O(length), not O(length²).  The worklist is ordered to reproduce the
 recursive DFS visit order exactly; the pre-rewrite recursive analyzer
 survives in :mod:`repro.hsa.reference` as the differential oracle.
 
-Whole-network sweeps (``sources_reaching``, ``detect_all_loops``) fan
-their independent per-ingress propagations over an optional worker pool
-(:mod:`repro.hsa.parallel`); results are merged in sorted-candidate
-order, so any worker count returns bit-identical answers.
+Whole-network sweeps (``sources_reaching``, ``detect_all_loops``) run
+their independent per-ingress propagations in sorted-candidate order.
 """
 
 from __future__ import annotations
@@ -29,10 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.hsa.farm import FarmError, FarmTaskError
 from repro.hsa.headerspace import HeaderSpace
 from repro.hsa.network_tf import NetworkTransferFunction, PortRef
-from repro.hsa.parallel import FanOutPool
 from repro.hsa.transfer import CONTROLLER_PORT
 
 #: One forwarding step: (switch, in_port, out_port).
@@ -144,28 +140,11 @@ class ReachabilityAnalyzer:
         max_depth: int = 64,
         collect_paths: bool = True,
         collect_drops: bool = False,
-        workers: int = 1,
-        pool_mode: str = "thread",
     ) -> None:
         self.network_tf = network_tf
         self.max_depth = max_depth
         self.collect_paths = collect_paths
         self.collect_drops = collect_drops
-        self.workers = max(1, workers)
-        self.pool_mode = pool_mode
-        #: persistent pools, one per (workers, mode) this analyzer has
-        #: fanned out with — executors are reused across sweeps instead
-        #: of being constructed per call
-        self._pools: Dict[Tuple[int, str], FanOutPool] = {}
-
-    def __getstate__(self) -> dict:
-        # Process-mode sweeps ship ``self.analyze`` (a bound method) to
-        # farm workers; executors and their locks are per-process and
-        # must not ride along.  The worker-side copy re-creates pools
-        # lazily if it ever fans out (it won't — tasks run serially).
-        state = self.__dict__.copy()
-        state["_pools"] = {}
-        return state
 
     # ------------------------------------------------------------------
     # Forward reachability
@@ -315,8 +294,6 @@ class ReachabilityAnalyzer:
         *,
         candidate_ports: Optional[tuple[PortRef, ...]] = None,
         analyze_fn=None,
-        workers: Optional[int] = None,
-        pool_mode: Optional[str] = None,
     ) -> Dict[PortRef, HeaderSpace]:
         """Which edge ports can inject traffic that arrives at the target?
 
@@ -325,11 +302,8 @@ class ReachabilityAnalyzer:
         maintaining inverted transfer functions.  ``analyze_fn`` lets the
         verification engine substitute its memoized per-ingress
         propagation, so repeated inverse queries on the same snapshot
-        reuse one forward pass per candidate port.  With ``workers > 1``
-        the candidate propagations fan out over a pool; the sources map
-        is assembled in candidate order either way, so the answer is
-        bit-identical for any worker count.  Process pools require a
-        picklable ``analyze_fn`` (the default bound method is).
+        reuse one forward pass per candidate port.  The sources map is
+        assembled in candidate order.
         """
         candidates = [
             ref
@@ -337,13 +311,10 @@ class ReachabilityAnalyzer:
             if ref != (target_switch, target_port)
         ]
         analyze = analyze_fn or self.analyze
-        results = self._fan_out(workers, pool_mode).map(
-            _fan_analyze, (analyze, space), candidates
-        )
         sources: Dict[PortRef, HeaderSpace] = {}
-        for (switch, port), result in zip(candidates, results):
+        for switch, port in candidates:
             arriving = HeaderSpace.empty()
-            for zone in result.edge_zones():
+            for zone in analyze(switch, port, space).edge_zones():
                 if zone.port_ref == (target_switch, target_port):
                     arriving = arriving.union(zone.space)
             if not arriving.is_empty():
@@ -354,52 +325,15 @@ class ReachabilityAnalyzer:
     # Whole-network sweeps
     # ------------------------------------------------------------------
 
-    def detect_all_loops(
-        self,
-        space: HeaderSpace,
-        *,
-        workers: Optional[int] = None,
-        pool_mode: Optional[str] = None,
-    ) -> List[LoopReport]:
+    def detect_all_loops(self, space: HeaderSpace) -> List[LoopReport]:
         """Check every edge ingress for forwarding loops on ``space``.
 
-        The per-ingress propagations are independent; with ``workers >
-        1`` they fan out over a pool and the reports are concatenated in
-        edge-port order — identical output for any worker count.
+        The reports are concatenated in edge-port order.
         """
-        candidates = self.network_tf.all_edge_ports()
-        results = self._fan_out(workers, pool_mode).map(
-            _fan_analyze, (self.analyze, space), candidates
-        )
         loops: List[LoopReport] = []
-        for result in results:
-            loops.extend(result.loops)
+        for switch, port in self.network_tf.all_edge_ports():
+            loops.extend(self.analyze(switch, port, space).loops)
         return loops
-
-    def _fan_out(
-        self, workers: Optional[int], pool_mode: Optional[str]
-    ) -> FanOutPool:
-        key = (
-            max(1, workers if workers is not None else self.workers),
-            pool_mode if pool_mode is not None else self.pool_mode,
-        )
-        pool = self._pools.get(key)
-        if pool is None or pool.closed:
-            pool = FanOutPool(*key)
-            self._pools[key] = pool
-        return pool
-
-    def close(self) -> None:
-        """Tear down the persistent fan-out pools (idempotent)."""
-        for pool in self._pools.values():
-            pool.close()
-
-
-def _fan_analyze(context, port_ref: PortRef) -> ReachabilityResult:
-    """One fan-out task: propagate ``space`` from one candidate ingress."""
-    analyze, space = context
-    switch, port = port_ref
-    return analyze(switch, port, space)
 
 
 # ----------------------------------------------------------------------
@@ -407,91 +341,27 @@ def _fan_analyze(context, port_ref: PortRef) -> ReachabilityResult:
 # ----------------------------------------------------------------------
 
 
-def _matrix_rows(
-    pool: FanOutPool,
-    refs,
-    *,
-    network_tf,
-    atom_space,
-    atom_network,
-    max_depth: int,
-    farm_spec: Optional[dict],
-):
-    """Rows for ``refs``, on the compile farm when one is wired up.
-
-    With a ``farm_spec`` (the engine's content-addressed part payload)
-    and a process-mode pool, the rows are propagated on worker-side
-    :class:`~repro.hsa.atoms.AtomNetwork` mirrors — delta-patched from
-    the previous snapshot version, so churn ships only changed parts.
-    Otherwise the pool's generic map runs ``atom_network`` directly
-    (threads share it; a process pool ships it once per content digest)
-    — process mode is honored either way, never silently downgraded.
-    A failed farm batch falls back loudly to the generic path.
-    """
-    from repro.hsa.atoms import AtomNetwork
-
-    refs = list(refs)
-    if farm_spec is not None and pool.is_process and len(refs) > 1:
-        try:
-            return (
-                pool.farm_matrix(refs, max_depth=max_depth, **farm_spec),
-                atom_network,
-            )
-        except (FarmError, FarmTaskError) as exc:
-            pool._loud_fallback(f"matrix farm batch failed: {exc!r}")
-    if atom_network is None:
-        atom_network = AtomNetwork(network_tf, atom_space, max_depth=max_depth)
-    return pool.map(_fan_matrix_row, atom_network, refs), atom_network
-
-
 def build_reachability_matrix(
     network_tf,
     atom_space,
     *,
     max_depth: int = 64,
-    workers: int = 1,
-    pool_mode: str = "thread",
     atom_network=None,
-    pool: Optional[FanOutPool] = None,
-    farm_spec: Optional[dict] = None,
 ):
     """Propagate the full header space from every edge ingress, bitwise.
 
     One :class:`~repro.hsa.atoms.MatrixRow` per edge port, computed in
-    the atom domain and fanned out over the same order-preserving
-    :class:`FanOutPool` the wildcard sweeps use — so the matrix is
-    deterministic for any worker count, thread or process.  Callers
-    with a persistent pool (the engine) pass it via ``pool``; otherwise
-    a transient one is built from ``workers``/``pool_mode`` and closed
-    before returning.  ``farm_spec`` routes the rows to the compile
-    farm's content-addressed mirrors (see :func:`_matrix_rows`) — in
-    that case the parent-side ``atom_network`` is never needed and the
-    build skips compiling one.
-
-    Callers that keep a predecessor state for matrix repair pass a
-    pre-built ``atom_network`` so the compiled pipelines survive the
-    build and can seed the next repair.
+    the atom domain in edge-port order.  Callers that keep a predecessor
+    state for matrix repair pass a pre-built ``atom_network`` so the
+    compiled pipelines survive the build and can seed the next repair.
     """
-    from repro.hsa.atoms import ReachabilityMatrix
+    from repro.hsa.atoms import AtomNetwork, ReachabilityMatrix
 
+    if atom_network is None:
+        atom_network = AtomNetwork(network_tf, atom_space, max_depth=max_depth)
     ingresses = network_tf.all_edge_ports()
-    owned = pool is None
-    if pool is None:
-        pool = FanOutPool(workers, pool_mode)
-    try:
-        rows, _network = _matrix_rows(
-            pool,
-            ingresses,
-            network_tf=network_tf,
-            atom_space=atom_space,
-            atom_network=atom_network,
-            max_depth=max_depth,
-            farm_spec=farm_spec,
-        )
-    finally:
-        if owned:
-            pool.close()
-    return ReachabilityMatrix(atom_space, dict(zip(ingresses, rows)))
+    rows = {ref: atom_network.propagate(*ref) for ref in ingresses}
+    return ReachabilityMatrix(atom_space, rows)
 
 
 @dataclass
@@ -512,10 +382,6 @@ def repair_reachability_matrix(
     *,
     previous_network=None,
     max_depth: int = 64,
-    workers: int = 1,
-    pool_mode: str = "thread",
-    pool: Optional[FanOutPool] = None,
-    farm_spec: Optional[dict] = None,
 ):
     """Repair a predecessor matrix in place of a full rebuild.
 
@@ -527,7 +393,7 @@ def repair_reachability_matrix(
     :class:`~repro.hsa.atoms.AtomRemap` cell-renumbering table when the
     delta grew or shrank the constraint set.  Only rows whose traversed
     set intersects ``touched_switches`` (plus ingresses the predecessor
-    never saw) are re-propagated, fanned out exactly like a cold build.
+    never saw) are re-propagated, exactly like a cold build.
 
     Raises :class:`~repro.hsa.atoms.RemapInexact` when a reused row's
     bitsets are not exactly representable in the new universe (a retired
@@ -536,14 +402,9 @@ def repair_reachability_matrix(
 
     Returns ``(matrix, atom_network, stats)``; ``atom_network`` reuses
     the predecessor's compiled pipelines for untouched switches and
-    seeds the *next* repair.  On the farm path (``farm_spec`` with a
-    process pool) the dirty rows run on worker-side mirrors — which
-    hold the delta-patched pipelines themselves — so no parent-side
-    :class:`~repro.hsa.atoms.AtomNetwork` is compiled and the returned
-    ``atom_network`` is ``None`` (callers rebuild lazily if they need
-    boundary rows).
+    seeds the *next* repair.
     """
-    from repro.hsa.atoms import AtomRemap, ReachabilityMatrix
+    from repro.hsa.atoms import AtomNetwork, AtomRemap, ReachabilityMatrix
 
     remap = AtomRemap(previous_matrix.space, atom_space)
     touched = frozenset(touched_switches)
@@ -553,8 +414,8 @@ def repair_reachability_matrix(
         row = previous_matrix.row(ref)
         if row is None or not touched.isdisjoint(row.traversed):
             dirty.append(ref)
-    # Renumber the reused rows *before* paying the fan-out, so an
-    # inexact remap falls back without wasted propagation work.
+    # Renumber the reused rows *before* paying any propagation, so an
+    # inexact remap falls back without wasted work.
     stats = MatrixRepairStats(
         atoms_split=remap.splits, space_changed=not remap.identity
     )
@@ -562,45 +423,19 @@ def repair_reachability_matrix(
     dirty_set = frozenset(dirty)
     for ref in ingresses:
         if ref in dirty_set:
-            rows[ref] = None  # filled from the fan-out below
+            rows[ref] = None  # filled by the propagation below
         else:
             rows[ref] = remap.remap_row(previous_matrix.row(ref))
             stats.rows_reused += 1
-    owned = pool is None
-    if pool is None:
-        pool = FanOutPool(workers, pool_mode)
-    atom_network = None
-    try:
-        if not (farm_spec is not None and pool.is_process and len(dirty) > 1):
-            # Thread/generic path (and single-row repairs, where the
-            # farm round-trip is not worth it): patch the parent-side
-            # network from its predecessor's compiled pipelines.
-            from repro.hsa.atoms import AtomNetwork
-
-            atom_network = AtomNetwork(
-                network_tf,
-                atom_space,
-                max_depth=max_depth,
-                reuse_from=previous_network,
-                touched=touched_switches,
-            )
-        fresh, atom_network = _matrix_rows(
-            pool,
-            dirty,
-            network_tf=network_tf,
-            atom_space=atom_space,
-            atom_network=atom_network,
-            max_depth=max_depth,
-            farm_spec=farm_spec,
-        )
-    finally:
-        if owned:
-            pool.close()
-    for ref, row in zip(dirty, fresh):
-        rows[ref] = row
+    # Patch the network from its predecessor's compiled pipelines.
+    atom_network = AtomNetwork(
+        network_tf,
+        atom_space,
+        max_depth=max_depth,
+        reuse_from=previous_network,
+        touched=touched_switches,
+    )
+    for ref in dirty:
+        rows[ref] = atom_network.propagate(*ref)
         stats.rows_repaired += 1
     return ReachabilityMatrix(atom_space, rows), atom_network, stats
-
-
-def _fan_matrix_row(atom_network, port_ref: PortRef):
-    return atom_network.propagate(*port_ref)

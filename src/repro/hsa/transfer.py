@@ -161,8 +161,7 @@ Emission = Tuple[int, HeaderSpace]
 class KernelStats:
     """Cumulative fast-path counters for one transfer function.
 
-    Telemetry only — increments are not synchronised, so totals may be
-    slightly lossy under parallel fan-out; they never affect results.
+    Telemetry only — they never affect results.
     """
 
     __slots__ = (
@@ -608,10 +607,10 @@ def compile_switch_tf(
 ) -> SwitchTransferFunction:
     """One switch's compiled pipeline from its snapshot rule set.
 
-    The single compile recipe shared by the verification engine, the
-    snapshot's lazy ``network_tf()``, and the compile-farm workers — a
-    pure function of ``(switch, rules, ports)``, so the same content
-    key compiles to behaviourally identical artifacts in any process.
+    The single compile recipe shared by the verification engine and the
+    snapshot's lazy ``network_tf()`` — a pure function of ``(switch,
+    rules, ports)``, so the same content key compiles to behaviourally
+    identical artifacts.
     """
     n_tables = max((r.table_id for r in rules), default=0) + 1
     return SwitchTransferFunction(

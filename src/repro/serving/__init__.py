@@ -1,6 +1,6 @@
 """The multi-tenant serving tier (ISSUE 7).
 
-Async admission, query coalescing, sharded batch execution, and a
+Async admission, query coalescing, batch execution, and a
 closed-loop workload generator on top of the verification engine.
 """
 

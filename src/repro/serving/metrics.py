@@ -61,18 +61,6 @@ class SchedulerMetrics:
     max_batch: int = 0
     queue_peak: int = 0
     warm_compiles: int = 0  # background compiles of a mid-churn snapshot
-    # Shard-pool / compile-farm telemetry (E24): how batch execution
-    # actually ran — thread pool, process farm, or loud fallbacks.
-    pool_mode: str = "thread"
-    pool_workers: int = 1
-    pool_fallbacks: int = 0  # process batches that fell back to threads
-    farm_batches: int = 0
-    farm_tasks: int = 0
-    farm_bytes_shipped: int = 0
-    farm_parts_shipped: int = 0
-    farm_parts_cached: int = 0
-    farm_worker_restarts: int = 0
-    farm_queue_depth_peak: int = 0
     #: batch-size histogram, power-of-two buckets -> count
     batch_size_hist: Dict[str, int] = field(default_factory=dict)
 

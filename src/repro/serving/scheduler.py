@@ -1,4 +1,4 @@
-"""The multi-tenant query scheduler: admission → coalesce → shard → reply.
+"""The multi-tenant query scheduler: admission → coalesce → batch → reply.
 
 RVaaS is a *service*: many mutually distrusting clients query one
 verification provider.  The controller's synchronous path walks one
@@ -19,10 +19,8 @@ frontend.  :class:`QueryScheduler` is the serving tier in front of the
   construction (and, in the in-band path, per-client sealing).  A
   bounded answer cache extends coalescing across batch boundaries on an
   unchanged snapshot.
-* **Sharded batch execution** — the unique keys of a batch are sorted
-  and fanned over a :class:`~repro.hsa.parallel.FanOutPool`; the merge
-  is positional over the sorted key list, so any worker count produces
-  byte-identical responses in the same order.
+* **Batch execution** — the unique keys of a batch are sorted and
+  answered in that order, one engine call per key.
 * **Stale-but-honest fast path** — when a snapshot is mid-churn (its
   artifacts are not compiled yet) and the queue is under pressure, the
   batch is served from the last *verified* snapshot while the new one
@@ -50,7 +48,6 @@ from repro.core.protocol import (
 )
 from repro.core.queries import Answer, Query
 from repro.core.snapshot import NetworkSnapshot
-from repro.hsa.parallel import FanOutPool, env_pool_mode
 from repro.serving.clock import MonotonicClock
 from repro.serving.metrics import SchedulerMetrics
 
@@ -77,14 +74,6 @@ class ServingConfig:
     coalesce: bool = True
     #: cross-batch answer reuse (entries; 0 disables the cache)
     answer_cache_entries: int = 8192
-    #: fan-out width for unique-key execution within a batch
-    shard_workers: int = 1
-    #: "thread" | "process" (the compile farm); ``None`` reads
-    #: ``RVAAS_POOL_MODE`` so a deployment flips the whole serving tier
-    #: with one environment variable.  Process mode needs a picklable
-    #: ``answer_fn``; a closure falls back to threads loudly (counted
-    #: in ``pool_fallbacks``), never silently.
-    pool_mode: Optional[str] = None
     #: serve from the last verified snapshot while a churned one compiles
     stale_serve: bool = True
     #: never serve evidence older than this from the stale fast path
@@ -147,7 +136,7 @@ class ServeOutcome:
 
 
 class QueryScheduler:
-    """Async admission, coalescing, and sharded batch execution."""
+    """Async admission, coalescing, and batch execution."""
 
     def __init__(
         self,
@@ -178,14 +167,6 @@ class QueryScheduler:
         self._queue: Deque[PendingQuery] = deque()
         self._buckets: Dict[str, TokenBucket] = {}
         self._answer_cache: "OrderedDict[tuple, Answer]" = OrderedDict()
-        pool_mode = self.config.pool_mode
-        if pool_mode is None:
-            pool_mode = env_pool_mode("thread")
-        #: the persistent shard-execution pool — one executor for the
-        #: scheduler's lifetime, torn down by :meth:`close`
-        self._pool = FanOutPool(max(1, self.config.shard_workers), pool_mode)
-        self.metrics.pool_mode = pool_mode
-        self.metrics.pool_workers = self._pool.workers
         self._drain_scheduled = False
         #: last snapshot this scheduler served from (the stale-path source)
         self._last_snapshot: Optional[NetworkSnapshot] = None
@@ -319,17 +300,12 @@ class QueryScheduler:
                 answers[key] = cached
             else:
                 jobs.append(key)
-        # Deterministic shard order: sorted keys split into contiguous
-        # shards, merged positionally — byte-identical for any worker
-        # count.
+        # Sorted keys fix the engine's call order whatever the arrival
+        # order, so the caches a batch leaves behind are reproducible.
         jobs.sort(key=_job_sort_key)
-        # The context is (answer_fn, snapshot) — not the scheduler — so
-        # process-mode shards only need the answer path to pickle, not
-        # the pool and queue machinery.
-        results = self._pool.map_chunked(
-            _run_serving_job, (self._answer_fn, snapshot), jobs
-        )
-        for key, answer in zip(jobs, results):
+        for key in jobs:
+            client, query, _content = key
+            answer = self._answer_fn(client, query, snapshot)
             answers[key] = answer
             self._cache_put(key, answer)
         self.metrics.engine_calls += len(jobs)
@@ -375,7 +351,6 @@ class QueryScheduler:
             self.metrics.stale_served += served
         if not self._queue:
             self.idle_work()
-        self._sync_pool_metrics()
         return served
 
     def flush(self) -> int:
@@ -389,29 +364,6 @@ class QueryScheduler:
         """Run deferred maintenance (direct mode's background warm)."""
         if self._pending_warm is not None and self._schedule_fn is None:
             self._run_warm()
-
-    def close(self) -> None:
-        """Release the persistent shard pool (idempotent).
-
-        A closed scheduler still serves — :meth:`pump` degrades to the
-        inline serial loop — so shutdown ordering cannot lose requests.
-        """
-        self._pool.close()
-
-    def _sync_pool_metrics(self) -> None:
-        """Mirror shard-pool / farm counters into the metrics."""
-        m = self.metrics
-        m.pool_fallbacks = self._pool.process_fallbacks
-        counters = self._pool.farm_counters
-        m.farm_batches = counters["batches"]
-        m.farm_tasks = counters["tasks"]
-        m.farm_bytes_shipped = counters["bytes_shipped"]
-        m.farm_parts_shipped = counters["parts_shipped"]
-        m.farm_parts_cached = counters["parts_cached"]
-        m.farm_worker_restarts = counters["worker_restarts"]
-        farm = self._pool._farm
-        if farm is not None:
-            m.farm_queue_depth_peak = farm.metrics.queue_depth_peak
 
     def _deliver(self, pending: PendingQuery, outcome: ServeOutcome) -> None:
         self.metrics.served += 1
@@ -496,13 +448,6 @@ class QueryScheduler:
         self._answer_cache[key] = answer
         while len(self._answer_cache) > limit:
             self._answer_cache.popitem(last=False)
-
-
-def _run_serving_job(context: tuple, key: tuple) -> Answer:
-    """One shard task: answer a unique (client, query, content) key."""
-    answer_fn, snapshot = context
-    client, query, _content = key
-    return answer_fn(client, query, snapshot)
 
 
 def _canonical(query: Query) -> Query:

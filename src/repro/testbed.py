@@ -88,8 +88,11 @@ class Testbed:
         return sorted(self.clients)
 
     def close(self) -> None:
-        """Release the service's persistent executors (idempotent)."""
-        self.service.shutdown()
+        """Nothing to release: the testbed holds no executors.
+
+        Kept so callers that scope a testbed's lifetime (the benchmark
+        harness among them) need not special-case it.
+        """
 
 
 def build_registrations(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.client import AuthResponder, SilentResponder
+from repro.core.client import COMPLETED_WINDOW, AuthResponder, SilentResponder
 from repro.core.inband import (
     INTERCEPT_PRIORITY,
     RVAAS_COOKIE,
@@ -18,6 +18,7 @@ from repro.core.protocol import (
 )
 from repro.core.queries import GeoLocationQuery, IsolationQuery
 from repro.crypto.cipher import HybridCiphertext
+from repro.dataplane.host import RECEIVED_WINDOW
 from repro.dataplane.topologies import isp_topology
 from repro.netlib.addresses import IPv4Address, MacAddress
 from repro.netlib.constants import RVAAS_AUTH_PORT, RVAAS_MAGIC_PORT
@@ -102,7 +103,7 @@ class TestClientLibrary:
     def test_non_protocol_payload_ignored(self, bed):
         client = bed.clients["alice"]
         client.host.deliver(packet_with(b"noise", RVAAS_MAGIC_PORT))
-        assert client.completed == []
+        assert len(client.completed) == 0
 
 
 class TestAuthResponder:
@@ -229,3 +230,19 @@ class TestAuthRounds:
         # (ber, 1) appears in verified only because h_ber1's genuine
         # responder answered the genuine challenge sent there.
         assert outcome.verified.get(("ber", 1)) == "h_ber1"
+
+
+class TestBoundedState:
+    def test_long_ask_run_keeps_windows_at_their_caps(self, bed):
+        """A long in-band session holds bounded per-client state: the
+        host's delivery window and the client's answered-handle window
+        fill to their caps and stay there, while the delivery count
+        keeps climbing."""
+        client = bed.clients["alice"]
+        host = client.host
+        for _ in range(300):
+            last = bed.ask("alice", IsolationQuery())
+        assert len(host.received) == RECEIVED_WINDOW
+        assert len(client.completed) == COMPLETED_WINDOW
+        assert host.received_count > RECEIVED_WINDOW
+        assert client.completed[-1] is last  # the newest entries stay

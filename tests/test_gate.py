@@ -81,10 +81,10 @@ def blackhole_flowmod(bed):
 
 
 def delivered(bed, src="h_ber1", dst="h_fra1"):
-    before = len(bed.network.host(dst).received)
+    before = bed.network.host(dst).received_count
     bed.network.host(src).send_udp(bed.network.host(dst).ip, 1000, b"x")
     bed.run(1.0)
-    return len(bed.network.host(dst).received) > before
+    return bed.network.host(dst).received_count > before
 
 
 class TestFlowModSemantics:

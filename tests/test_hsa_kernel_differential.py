@@ -6,11 +6,6 @@ worklist, shadow-skip subtraction) and the frozen pre-rewrite kernel in
 every input: same reachable zones in the same order, same drops, same
 loops.  Random rule sets over a three-switch chain exercise shadowing,
 rewrites, multi-table pipelines, floods, and forwarding loops.
-
-A second family of properties pins determinism under parallel fan-out:
-``sources_reaching`` and ``detect_all_loops`` must return byte-identical
-answers (equal fingerprints, not merely semantically equal spaces) for
-any worker count.
 """
 
 import pytest
@@ -178,35 +173,6 @@ def test_fast_kernel_matches_reference(config, space):
         assert_same_result(
             fast.analyze(switch, 1, space), ref.analyze(switch, 1, space)
         )
-
-
-@settings(
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(config=config_strategy(), space=space_strategy())
-def test_parallel_fan_out_is_byte_identical(config, space):
-    """workers=1 and workers=4 must return byte-identical sweep answers."""
-    ntf = snapshot_from(config).network_tf()
-    serial = ReachabilityAnalyzer(ntf, workers=1)
-    pooled = ReachabilityAnalyzer(ntf, workers=4)
-
-    def loop_key(reports):
-        return [
-            (l.switch, l.port, l.cycle, l.space.fingerprint()) for l in reports
-        ]
-
-    assert loop_key(serial.detect_all_loops(space)) == loop_key(
-        pooled.detect_all_loops(space)
-    )
-
-    def source_key(sources):
-        return [(ref, hs.fingerprint()) for ref, hs in sources.items()]
-
-    assert source_key(
-        serial.sources_reaching("s3", 1, space)
-    ) == source_key(pooled.sources_reaching("s3", 1, space))
 
 
 def test_reference_matches_on_realistic_routed_chain():

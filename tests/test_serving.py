@@ -24,7 +24,6 @@ from repro.core.queries import (
 )
 from repro.dataplane.topologies import fat_tree_topology, linear_topology
 from repro.faults import FaultPlan
-from repro.hsa.parallel import FanOutPool, chunks
 from repro.serving import (
     MonotonicClock,
     QueryScheduler,
@@ -276,45 +275,6 @@ class TestAdmission:
         assert scheduler.metrics.max_batch == 5
         assert scheduler.metrics.batch_size_hist == {"5-8": 1}
         assert scheduler.metrics.queue_peak == 5
-
-
-class TestShardedExecution:
-    def test_worker_count_does_not_change_results(self):
-        queries = [
-            IsolationQuery(),
-            GeoLocationQuery(),
-            ReachableDestinationsQuery(),
-            IsolationQuery(scope=TrafficScope(tp_dst=80)),
-            ReachableDestinationsQuery(scope=TrafficScope(tp_dst=443)),
-        ]
-        outcomes = {}
-        for workers in (1, 4):
-            scheduler, _ = make_scheduler(shard_workers=workers)
-            done = Collector()
-            for nonce, query in enumerate(queries):
-                scheduler.submit(
-                    f"client{nonce % 2}", query, nonce=nonce, on_done=done
-                )
-            scheduler.pump()
-            outcomes[workers] = [
-                done.outcomes[n].answer for n in range(len(queries))
-            ]
-        assert outcomes[1] == outcomes[4]
-
-    def test_map_chunked_matches_serial_map(self):
-        items = list(range(23))
-        fn = lambda ctx, item: (ctx, item * item)
-        serial = [fn("ctx", item) for item in items]
-        for workers in (1, 3, 8):
-            pool = FanOutPool(workers, "thread")
-            assert pool.map_chunked(fn, "ctx", items) == serial
-
-    def test_chunks_partition_preserves_order(self):
-        items = list(range(10))
-        shards = list(chunks(items, 3))
-        assert shards == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
-        with pytest.raises(ValueError):
-            list(chunks(items, 0))
 
 
 class TestStaleFastPath:
